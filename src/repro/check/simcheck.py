@@ -31,7 +31,7 @@ enforces them statically (stdlib ``ast`` only, no third-party deps):
   ``np.random.default_rng`` …) outside ``repro/sim/rng.py``: every
   stream must come from the seeded :class:`~repro.sim.rng.RngFactory`.
 * **SIM501** — direct ``heapq`` use outside ``repro/sim/engine.py``: the
-  timer-wheel/heap engines own every priority queue on the hot path, and
+  event loop's heap owns every priority queue on the hot path, and
   ad-hoc heaps re-introduce the O(log n)-per-event cost (and subtle
   tie-ordering hazards) the engine exists to centralise.  Schedule
   through the EventLoop instead.
@@ -548,7 +548,7 @@ class RngConstructionRule(Rule):
 # ----------------------------------------------------------------------
 # SIM5xx — hot-path structure
 # ----------------------------------------------------------------------
-#: The one module allowed to touch heapq: the event-loop engines.
+#: The one module allowed to touch heapq: the event loop.
 _HEAPQ_ALLOWED = ("repro/sim/engine.py",)
 
 
@@ -559,7 +559,7 @@ class HeapqOutsideEngineRule(Rule):
                "(hot paths must schedule through the EventLoop)")
 
     _MSG = ("direct heapq use outside repro/sim/engine.py; priority "
-            "queues on the hot path belong to the EventLoop engines "
+            "queues on the hot path belong to the EventLoop "
             "(call_at/call_after/call_every), which centralise "
             "tie-ordering and amortise dispatch cost")
 

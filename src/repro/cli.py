@@ -94,12 +94,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
-    if args.engine is not None:
-        import os as _os
-
-        from repro.sim.engine import ENGINE_ENV
-
-        _os.environ[ENGINE_ENV] = args.engine
 
     if args.span_sample_rate < 1:
         print("--span-sample-rate must be a positive integer "
@@ -237,12 +231,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if workers < 1:
         print(f"--workers must be >= 1 (got {workers})", file=sys.stderr)
         return 2
-    if args.engine is not None:
-        from repro.sim.engine import ENGINE_ENV
-
-        # Worker processes inherit the environment, so this one set()
-        # covers serial and parallel execution alike.
-        os.environ[ENGINE_ENV] = args.engine
 
     on_done = None
     if not args.quiet:
@@ -455,12 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY",
                      help="sort key for the --profile hot-function table "
                           "(tottime, cumtime, ncalls, pcalls, filename, "
-                          "name; default tottime — use cumtime to see "
-                          "wheel cascade cost inside run_until, see "
+                          "name; default tottime, see "
                           "docs/performance.md)")
-    run.add_argument("--engine", default=None, choices=["heap", "wheel"],
-                     help="event-loop engine for this run (sets "
-                          "REPRO_ENGINE; default: REPRO_ENGINE or wheel)")
     run.set_defaults(func=_cmd_run)
 
     campaign = sub.add_parser(
@@ -499,13 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "artifact to DIR/<id>.txt")
     campaign.add_argument("--quiet", action="store_true",
                           help="suppress per-task progress on stderr")
-    campaign.add_argument("--engine", default=None,
-                          choices=["heap", "wheel"],
-                          help="event-loop engine for every worker (sets "
-                               "REPRO_ENGINE; default: REPRO_ENGINE or "
-                               "wheel). Digests are engine-independent "
-                               "by contract, so a baseline recorded "
-                               "under one engine checks under the other")
     campaign.set_defaults(func=_cmd_campaign)
 
     obs = sub.add_parser(

@@ -139,8 +139,8 @@ class ScenarioResult:
     #: latencies, packets lost vs requeued.  JSON-safe, digest-covered.
     resilience: Dict[str, Any] = field(default_factory=dict)
     #: Event-loop hygiene counters captured at the end of the run via
-    #: :meth:`repro.sim.engine.EventLoop.stats_dict` (impl, pushes, pops,
-    #: lazy_cancel_skips, compactions, cascades, peak_pending).
+    #: :meth:`repro.sim.engine.EventLoop.stats_dict` (pushes, pops,
+    #: lazy_cancel_skips, compactions, peak_pending).
     #: Machine-speed metadata for the perf suite — deliberately NOT
     #: serialised by :func:`repro.analysis.export.result_to_dict`, so it
     #: never enters a digest.

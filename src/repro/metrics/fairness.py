@@ -20,12 +20,12 @@ def jain_index(values: Sequence[float]) -> float:
         return 1.0
     if any(v < 0 for v in values):
         raise ValueError("allocations must be non-negative")
-    total = float(sum(values))
-    if total == 0.0:
+    peak = float(max(values))
+    if peak == 0.0:
         return 1.0
-    sq = sum(float(v) * float(v) for v in values)
-    if sq == 0.0:
-        # Subnormal allocations whose squares underflow to zero: everyone
-        # got (effectively) nothing, equally.
-        return 1.0
-    return total * total / (len(values) * sq)
+    # Scale into [0, 1] first: the index is scale-invariant, and squares
+    # of tiny allocations would otherwise go subnormal and lose the
+    # precision that keeps the result <= 1.
+    scaled = [float(v) / peak for v in values]
+    total = sum(scaled)
+    return total * total / (len(scaled) * sum(x * x for x in scaled))

@@ -1,5 +1,5 @@
 """SIM501 clean look-alike: heapq inside repro/sim/engine.py is the
-one allowed location — the event-loop engines own the priority queues.
+one allowed location — the event loop owns the priority queues.
 """
 
 import heapq
