@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List, Optional, Tuple
 
+from repro.runner.baseline import regressed, relative_growth
 from repro.sim.engine import EventLoop
 from repro.sim.process import PeriodicProcess
 
@@ -175,9 +176,9 @@ def diff_telemetry(a: Dict[str, Dict[str, Any]],
     """Compare run B against baseline A; flag percentile regressions.
 
     A regression is a percentile that grew by more than ``max_regression``
-    (fractional) **and** by at least ``min_abs_us`` microseconds — the
-    absolute floor keeps sub-microsecond jitter on tiny runs from
-    flagging.  Returns (report text, regression count).
+    (fractional) **and** by at least ``min_abs_us`` microseconds
+    (:func:`repro.runner.baseline.regressed`).  Returns (report text,
+    regression count).
     """
     lines: List[str] = []
     regressions = 0
@@ -201,15 +202,9 @@ def diff_telemetry(a: Dict[str, Dict[str, Any]],
                 if va is None or vb is None:
                     continue
                 compared += 1
-                delta = vb - va
-                if va > 0:
-                    rel = delta / va
-                elif vb > 0:
-                    rel = float("inf")
-                else:
-                    rel = 0.0
-                if rel > max_regression and delta >= min_abs_us:
+                if regressed(va, vb, max_regression, min_abs_us):
                     regressions += 1
+                    rel = relative_growth(va, vb)
                     rel_pct = ("inf" if rel == float("inf")
                                else f"{rel * 100:.1f}%")
                     lines.append(

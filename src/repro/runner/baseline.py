@@ -44,6 +44,23 @@ SCHEMA_VERSION = 1
 WALL_FLOOR_S = 0.01
 
 
+def relative_growth(base: float, observed: float) -> float:
+    """Fractional growth of ``observed`` over ``base`` (inf from zero)."""
+    if base > 0:
+        return (observed - base) / base
+    return float("inf") if observed > base else 0.0
+
+
+def regressed(base: float, observed: float, rel_tol: float,
+              abs_floor: float) -> bool:
+    """True when ``observed`` grew past ``base`` by more than ``rel_tol``
+    (fractional) *and* by at least ``abs_floor`` (absolute units) — the
+    floor keeps sub-unit jitter on tiny values from reading as a
+    regression."""
+    return (relative_growth(base, observed) > rel_tol
+            and observed - base >= abs_floor)
+
+
 def calibrate(n: int = 200_000) -> float:
     """Machine-speed score: events/second through a bare EventLoop.
 
