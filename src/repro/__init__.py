@@ -63,7 +63,6 @@ from repro.platform import (
     PacketRing,
     PlatformConfig,
     ServiceChain,
-    Topology,
     build_topology,
     connect_hosts,
     line_rate_pps,
@@ -101,7 +100,6 @@ __all__ = [
     "line_rate_pps",
     "HostLink",
     "connect_hosts",
-    "Topology",
     "build_topology",
     "load_topology",
     # schedulers

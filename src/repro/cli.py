@@ -349,37 +349,34 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.platform.orchestrator import load_topology
+    from repro.platform.orchestrator import TopologyError, load_topology
 
-    topology = load_topology(args.path, seed=args.seed)
-    if args.fault_plan is not None and topology.manager.faults is None:
+    try:
+        scenario = load_topology(args.path, seed=args.seed)
+    except TopologyError as exc:
+        print(f"topology error: {exc}", file=sys.stderr)
+        return 2
+    if args.fault_plan is not None and scenario.manager.faults is None:
         from repro.faults.plan import FaultPlan
-        from repro.sim.rng import RngFactory
 
         try:
             plan = FaultPlan.from_file(args.fault_plan)
         except (OSError, ValueError, RuntimeError) as exc:
             print(f"cannot load fault plan: {exc}", file=sys.stderr)
             return 2
-        topology.manager.attach_faults(
-            plan, rng=RngFactory(args.seed).stream("faults"))
-    topology.run(args.duration or 1.0)
+        scenario.attach_faults(plan)
     duration = args.duration or 1.0
-    rows = []
-    for chain in topology.manager.chains.values():
-        rows.append([
-            chain.name,
-            round(chain.completed / duration / 1e6, 3),
-            round(chain.wasted_drops / duration / 1e6, 3),
-            round(chain.entry_discards / duration / 1e6, 3),
-        ])
+    result = scenario.run(duration)
+    rows = [[c.name, round(c.throughput_pps / 1e6, 3),
+             round(c.wasted_drop_pps / 1e6, 3),
+             round(c.entry_discard_pps / 1e6, 3)]
+            for c in result.chains.values()]
     print(render_table(
         ["chain", "tput Mpps", "wasted Mpps", "entry-drop Mpps"], rows,
         title=f"topology {args.path} ({duration:g}s simulated)",
     ))
-    faults = topology.manager.faults
-    if faults is not None:
-        s = faults.summary(horizon_ns=int(duration * 1e9))
+    s = result.resilience
+    if s:
         print(f"[faults] injected={s['injected']} detected={s['detected']} "
               f"recovered={s['recovered']} gave_up={s['gave_up']} "
               f"lost={s['packets_lost']} requeued={s['packets_requeued']} "

@@ -4,9 +4,9 @@ Mirrors :class:`repro.experiments.common.Scenario`'s shape — construct,
 add SLO classes and flows, ``run(duration_s)`` — but assembles a whole
 :class:`~repro.cluster.topology.ClusterTopology` behind a steered
 ingress instead of one manager behind one NIC, and summarises every
-host into a single standard :class:`~repro.experiments.common.
-ScenarioResult` so campaign digests, baselines and render tables reuse
-the existing machinery unchanged:
+host through :func:`~repro.experiments.common.summarise_hosts` (shared
+with ``Scenario``) so campaign digests, baselines and render tables
+reuse the existing machinery unchanged:
 
 * NF/chain names are replica- and host-qualified, so the merged ``nfs``
   / ``chains`` dicts never collide;
@@ -31,10 +31,11 @@ from repro.cluster.autoscaler import Autoscaler, ChainTemplate
 from repro.cluster.steering import FlowSteerer, Placement
 from repro.cluster.topology import ClusterTopology, IngressPoint
 from repro.experiments.common import (
-    ChainSummary,
-    NFSummary,
     ScenarioResult,
+    add_throughput_probe,
     feature_config,
+    new_flow,
+    summarise_hosts,
 )
 from repro.metrics.timeseries import IntervalSampler
 from repro.obs.latency import FlowLatencyTracker
@@ -55,10 +56,6 @@ class ClusterScenario:
         scheduler: str = "NORMAL",
         features: str = "NFVnice",
         seed: int = 0,
-        ingress_latency_ns: int = 10_000,
-        ingress_bps: float = 10e9,
-        ingress_queue_cap_pkts: Optional[int] = None,
-        ingress_ecn_mark_pkts: Optional[int] = None,
         **config_overrides: object,
     ) -> None:
         self.scheduler = scheduler
@@ -68,12 +65,7 @@ class ClusterScenario:
         self.rng_factory = RngFactory(seed)
         self.config = feature_config(features, None, **config_overrides)
         self.topology = ClusterTopology(
-            self.loop, n_hosts, scheduler=scheduler, config=self.config,
-            ingress_latency_ns=ingress_latency_ns,
-            ingress_bps=ingress_bps,
-            ingress_queue_cap_pkts=ingress_queue_cap_pkts,
-            ingress_ecn_mark_pkts=ingress_ecn_mark_pkts,
-        )
+            self.loop, n_hosts, scheduler=scheduler, config=self.config)
         self.steerer = FlowSteerer(seed=seed)
         self.ingress = IngressPoint(self.topology, self.steerer)
         # The generator only uses the NIC's ``receive`` surface, which
@@ -154,15 +146,8 @@ class ClusterScenario:
         **spec_kwargs: object,
     ) -> Flow:
         """Create a flow at cluster ingress (steered at first packet)."""
-        slo_ns = None
-        if slo_class is not None:
-            if slo_class not in self._slo_classes:
-                raise ValueError(
-                    f"undeclared SLO class {slo_class!r}; declare it with "
-                    f"add_slo_class() first")
-            slo_ns = self._slo_classes[slo_class]
-        flow = Flow(flow_id, pkt_size=pkt_size, protocol=protocol,
-                    slo_ns=slo_ns)
+        flow = new_flow(self._slo_classes, flow_id, pkt_size, protocol,
+                        slo_class)
         self.steerer.register_flow_rate(flow_id, rate_pps)
         self.generator.add_flow(flow, rate_pps, **spec_kwargs)
         return flow
@@ -187,21 +172,21 @@ class ClusterScenario:
 
     def _on_scale_out(self, placement: Placement) -> None:
         """Give a freshly scaled-out chain its own throughput probe."""
-        sampler = self._sampler
-        if sampler is not None:
-            chain = placement.chain
-            sampler.add_probe(
-                f"tput:{chain.name}",
-                (lambda c: (lambda: c.completed))(chain),
-            )
+        if self._sampler is not None:
+            add_throughput_probe(self._sampler, placement.chain)
 
     def run(self, duration_s: float = 1.0) -> ScenarioResult:
         """Run the cluster for ``duration_s`` simulated seconds."""
         from repro.check.sanitizer import current_sanitizer
+        from repro.faults.plan import current_plan
         from repro.obs.session import current_session
 
         if self.template is None:
             raise RuntimeError("set_chain before run()")
+        if current_plan() is not None:
+            raise RuntimeError(
+                "fault plans are not supported on cluster scenarios; "
+                "run without --fault-plan")
         if not self.steerer.placements:
             self._materialise_placements()
         session = current_session()
@@ -214,10 +199,7 @@ class ClusterScenario:
         self._sampler = sampler
         for host in self.topology.hosts:
             for chain in host.manager.chains.values():
-                sampler.add_probe(
-                    f"tput:{chain.name}",
-                    (lambda c: (lambda: c.completed))(chain),
-                )
+                add_throughput_probe(sampler, chain)
         self.topology.start()
         self.generator.start()
         sampler.start()
@@ -255,68 +237,9 @@ class ClusterScenario:
 
     def _summarise(self, duration_s: float,
                    sampler: IntervalSampler) -> ScenarioResult:
-        horizon_ns = duration_s * SEC
-        chains: Dict[str, ChainSummary] = {}
-        nfs: Dict[str, NFSummary] = {}
-        core_utilization: Dict[int, float] = {}
-        completed = wasted = entry = 0
-        for host in self.topology.hosts:
-            mgr = host.manager
-            completed += mgr.total_completed
-            wasted += mgr.total_wasted_drops
-            entry += mgr.total_entry_discards
-            for chain in mgr.chains.values():
-                series = sampler[f"tput:{chain.name}"]
-                chains[chain.name] = ChainSummary(
-                    name=chain.name,
-                    completed=chain.completed,
-                    throughput_pps=chain.completed / duration_s,
-                    throughput_bps=chain.completed_bytes * 8 / duration_s,
-                    wasted_drop_pps=chain.wasted_drops / duration_s,
-                    entry_discard_pps=chain.entry_discards / duration_s,
-                    tput_series=series.summary(),
-                    latency_p50_us=chain.latency_hist.median() / 1e3,
-                    latency_p99_us=chain.latency_hist.percentile(99) / 1e3,
-                )
-            for nf in mgr.nfs:
-                core = nf.core
-                assert core is not None
-                busy = core.stats.busy_ns + core.stats.overhead_ns
-                nfs[nf.name] = NFSummary(
-                    name=nf.name,
-                    core_id=host.index * 100 + core.core_id,
-                    processed=nf.processed_packets,
-                    processed_pps=nf.processed_packets / duration_s,
-                    wasted_pps=nf.wasted_processed / duration_s,
-                    rx_drop_pps=nf.rx_ring.dropped_total / duration_s,
-                    runtime_s=nf.stats.runtime_ns / SEC,
-                    cpu_share=(nf.stats.runtime_ns / busy)
-                    if busy > 0 else 0.0,
-                    cswch_per_s=nf.stats.voluntary_switches / duration_s,
-                    nvcswch_per_s=nf.stats.involuntary_switches / duration_s,
-                    avg_sched_delay_ms=nf.stats.avg_sched_delay_ns / 1e6,
-                    weight=nf.weight,
-                    rx_drops_by_reason={
-                        k: nf.rx_ring.drops_by_reason[k]
-                        for k in sorted(nf.rx_ring.drops_by_reason)
-                    },
-                    restarts=nf.restarts,
-                )
-            for core_id, core in mgr.cores.items():
-                core_utilization[host.index * 100 + core_id] = \
-                    core.stats.utilization(horizon_ns)
-        return ScenarioResult(
-            scheduler=self.scheduler,
-            features=self.features,
-            duration_s=duration_s,
-            total_throughput_pps=completed / duration_s,
-            total_wasted_pps=wasted / duration_s,
-            total_entry_discard_pps=entry / duration_s,
-            chains=chains,
-            nfs=nfs,
-            core_utilization=core_utilization,
-            series=dict(sampler.series),
+        return summarise_hosts(
+            [(host.index, host.manager) for host in self.topology.hosts],
+            self.scheduler, self.features, duration_s, self.loop, sampler,
+            latency=self.latency,
             resilience={"cluster": self._cluster_summary()},
-            loop_stats=self.loop.stats_dict(),
-            flow_latency=self.latency.to_dict(),
         )

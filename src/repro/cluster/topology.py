@@ -41,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.steering import FlowSteerer
     from repro.platform.multihost import HostLink
 
+#: The ToR-to-host ingress wire of every host: propagation delay and rate.
+INGRESS_LATENCY_NS = 10 * USEC
+INGRESS_BPS = 10e9
+
 
 class ClusterHost:
     """One machine of the cluster: an index, a name, and its manager."""
@@ -63,10 +67,6 @@ class ClusterTopology:
         n_hosts: int,
         scheduler: str = "NORMAL",
         config: Optional[PlatformConfig] = None,
-        ingress_latency_ns: int = 10 * USEC,
-        ingress_bps: float = 10e9,
-        ingress_queue_cap_pkts: Optional[int] = None,
-        ingress_ecn_mark_pkts: Optional[int] = None,
     ) -> None:
         if n_hosts < 1:
             raise ValueError(f"a cluster needs >= 1 host, got {n_hosts}")
@@ -90,10 +90,8 @@ class ClusterTopology:
                 loop,
                 name=f"ingress->{host.name}",
                 deliver=self._deliver_to(host),
-                latency_ns=ingress_latency_ns,
-                link_bps=ingress_bps,
-                queue_cap_pkts=ingress_queue_cap_pkts,
-                ecn_mark_pkts=ingress_ecn_mark_pkts,
+                latency_ns=INGRESS_LATENCY_NS,
+                link_bps=INGRESS_BPS,
             )
             self.ingress_links[host.name] = link
             self.links.append(link)

@@ -208,7 +208,6 @@ class Scenario:
             self.loop, self.manager.nic,
             rng=self.rng_factory.stream("traffic"),
         )
-        self._nf_cores: Dict[str, int] = {}
         #: SLO class name -> end-to-end sojourn budget (ns).
         self._slo_classes: Dict[str, int] = {}
         #: chain name -> tightest SLO budget (ns) among its flows.
@@ -227,7 +226,6 @@ class Scenario:
         model = FixedCost(float(cost)) if isinstance(cost, (int, float)) else cost
         nf = NFProcess(name, model, config=self.config, **kwargs)
         self.manager.add_nf(nf, core_id=core)
-        self._nf_cores[name] = core
         return nf
 
     def add_chain(self, name: str, nf_names: Sequence[str]) -> ServiceChain:
@@ -262,15 +260,9 @@ class Scenario:
         the NIC's 64-byte-equivalent line rate for this packet size.
         ``slo_class`` names a class declared with :meth:`add_slo_class`.
         """
-        slo_ns = None
-        if slo_class is not None:
-            if slo_class not in self._slo_classes:
-                raise ValueError(
-                    f"undeclared SLO class {slo_class!r}; declare it with "
-                    f"add_slo_class() first")
-            slo_ns = self._slo_classes[slo_class]
-        flow = Flow(flow_id, pkt_size=pkt_size, protocol=protocol,
-                    slo_ns=slo_ns)
+        flow = new_flow(self._slo_classes, flow_id, pkt_size, protocol,
+                        slo_class)
+        slo_ns = flow.slo_ns
         chain = self.manager.chains[chain_name]
         if slo_ns is not None:
             tightest = self._chain_slo_ns.get(chain_name)
@@ -330,10 +322,7 @@ class Scenario:
                 mgr, self._chain_slo_ns, spare_cores=self.spare_cores))
         sampler = IntervalSampler(self.loop, SEC)
         for chain in mgr.chains.values():
-            sampler.add_probe(
-                f"tput:{chain.name}",
-                (lambda c: (lambda: c.completed))(chain),
-            )
+            add_throughput_probe(sampler, chain)
         if extra_probes:
             for name, (fn, rate) in extra_probes.items():
                 sampler.add_probe(name, fn, rate=rate)
@@ -363,9 +352,54 @@ class Scenario:
     def _summarise(self, duration_s: float,
                    sampler: IntervalSampler) -> ScenarioResult:
         mgr = self.manager
-        chains: Dict[str, ChainSummary] = {}
+        return summarise_hosts(
+            [(0, mgr)], self.scheduler, self.features, duration_s,
+            self.loop, sampler, latency=mgr.latency,
+            resilience=(mgr.faults.summary(horizon_ns=int(duration_s * SEC))
+                        if mgr.faults is not None else {}),
+            causality=(mgr.causality.summary(self.loop.now)
+                       if mgr.causality is not None else {}),
+            slo=(mgr.slo_governor.summary()
+                 if mgr.slo_governor is not None else {}),
+        )
+
+
+def new_flow(classes: Dict[str, int], flow_id: str, pkt_size: int,
+             protocol: str, slo_class: Optional[str]) -> Flow:
+    """A :class:`Flow` carrying the budget of its declared SLO class."""
+    if slo_class is not None and slo_class not in classes:
+        raise ValueError(f"undeclared SLO class {slo_class!r}; declare it "
+                         f"with add_slo_class() first")
+    return Flow(flow_id, pkt_size=pkt_size, protocol=protocol,
+                slo_ns=None if slo_class is None else classes[slo_class])
+
+
+def add_throughput_probe(sampler: IntervalSampler,
+                         chain: ServiceChain) -> None:
+    """Sample ``chain``'s completions per second as ``tput:<chain>``."""
+    sampler.add_probe(f"tput:{chain.name}", lambda: chain.completed)
+
+
+def summarise_hosts(
+    hosts: Sequence[Tuple[int, NFManager]], scheduler: str, features: str,
+    duration_s: float, loop: EventLoop, sampler: IntervalSampler,
+    latency: Any, resilience: Dict[str, Any],
+    causality: Optional[Dict[str, Any]] = None,
+    slo: Optional[Dict[str, Any]] = None,
+) -> ScenarioResult:
+    """One :class:`ScenarioResult` over ``(host_index, manager)`` pairs;
+    core ids are keyed ``host_index * 100 + core_id``.  ``latency`` is
+    the hosts' shared ``FlowLatencyTracker`` (or None)."""
+    horizon_ns = duration_s * SEC
+    chains: Dict[str, ChainSummary] = {}
+    nfs: Dict[str, NFSummary] = {}
+    utilization: Dict[int, float] = {}
+    completed = wasted = entry = trace_dropped = 0
+    for host_index, mgr in hosts:
+        completed += mgr.total_completed
+        wasted += mgr.total_wasted_drops
+        entry += mgr.total_entry_discards
         for chain in mgr.chains.values():
-            series = sampler[f"tput:{chain.name}"]
             chains[chain.name] = ChainSummary(
                 name=chain.name,
                 completed=chain.completed,
@@ -373,20 +407,17 @@ class Scenario:
                 throughput_bps=chain.completed_bytes * 8 / duration_s,
                 wasted_drop_pps=chain.wasted_drops / duration_s,
                 entry_discard_pps=chain.entry_discards / duration_s,
-                tput_series=series.summary(),
+                tput_series=sampler[f"tput:{chain.name}"].summary(),
                 latency_p50_us=chain.latency_hist.median() / 1e3,
                 latency_p99_us=chain.latency_hist.percentile(99) / 1e3,
             )
-
-        horizon_ns = duration_s * SEC
-        nfs: Dict[str, NFSummary] = {}
         for nf in mgr.nfs:
             core = nf.core
             assert core is not None
             busy = core.stats.busy_ns + core.stats.overhead_ns
             nfs[nf.name] = NFSummary(
                 name=nf.name,
-                core_id=core.core_id,
+                core_id=host_index * 100 + core.core_id,
                 processed=nf.processed_packets,
                 processed_pps=nf.processed_packets / duration_s,
                 wasted_pps=nf.wasted_processed / duration_s,
@@ -403,39 +434,29 @@ class Scenario:
                 },
                 restarts=nf.restarts,
             )
-
-        utilization = {
-            core_id: core.stats.utilization(horizon_ns)
-            for core_id, core in mgr.cores.items()
-        }
-        trace_dropped = sum(
-            core.tracer.dropped for core in mgr.cores.values()
-            if core.tracer is not None
-        )
-        return ScenarioResult(
-            scheduler=self.scheduler,
-            features=self.features,
-            duration_s=duration_s,
-            total_throughput_pps=mgr.total_completed / duration_s,
-            total_wasted_pps=mgr.total_wasted_drops / duration_s,
-            total_entry_discard_pps=mgr.total_entry_discards / duration_s,
-            chains=chains,
-            nfs=nfs,
-            core_utilization=utilization,
-            series=dict(sampler.series),
-            sched_trace_dropped=trace_dropped,
-            resilience=(
-                mgr.faults.summary(horizon_ns=int(duration_s * SEC))
-                if mgr.faults is not None else {}
-            ),
-            loop_stats=self.loop.stats_dict(),
-            flow_latency=(mgr.latency.to_dict()
-                          if mgr.latency is not None else {}),
-            causality=(mgr.causality.summary(self.loop.now)
-                       if mgr.causality is not None else {}),
-            slo=(mgr.slo_governor.summary()
-                 if mgr.slo_governor is not None else {}),
-        )
+        for core_id, core in mgr.cores.items():
+            utilization[host_index * 100 + core_id] = \
+                core.stats.utilization(horizon_ns)
+            if core.tracer is not None:
+                trace_dropped += core.tracer.dropped
+    return ScenarioResult(
+        scheduler=scheduler,
+        features=features,
+        duration_s=duration_s,
+        total_throughput_pps=completed / duration_s,
+        total_wasted_pps=wasted / duration_s,
+        total_entry_discard_pps=entry / duration_s,
+        chains=chains,
+        nfs=nfs,
+        core_utilization=utilization,
+        series=dict(sampler.series),
+        sched_trace_dropped=trace_dropped,
+        resilience=resilience,
+        loop_stats=loop.stats_dict(),
+        flow_latency=latency.to_dict() if latency is not None else {},
+        causality=causality or {},
+        slo=slo or {},
+    )
 
 
 def build_linear_chain(

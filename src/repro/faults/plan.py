@@ -33,6 +33,7 @@ built afterwards attaches it to its manager before starting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -42,6 +43,13 @@ FAULT_KINDS = ("crash", "hang", "slowdown", "ring_stall", "core_fail")
 #: Kinds for which self-healing makes no sense: a dead process or core
 #: does not come back without a recovery action.
 _PERMANENT_KINDS = ("crash", "core_fail")
+
+
+def _require_number(name: str, value: Any) -> None:
+    """Reject a non-number (or NaN/inf) before the range checks."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -63,7 +71,17 @@ class FaultSpec:
     factor: float = 4.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.target, bool) or not isinstance(self.target,
+                                                           (str, int)):
+            raise ValueError(
+                f"target must be an NF name or core id, got {self.target!r}")
         self.target = str(self.target)
+        for name in ("at_s", "rate_per_s", "duration_s", "factor"):
+            value = getattr(self, name)
+            if value is not None:
+                _require_number(name, value)
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -109,12 +127,17 @@ class FaultSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
         known = {"kind", "target", "at_s", "rate_per_s", "count",
                  "duration_s", "factor"}
+        if not isinstance(data, dict):
+            raise ValueError(f"a FaultSpec must be a mapping, got {data!r}")
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown FaultSpec field(s) {sorted(unknown)}; "
                 f"expected a subset of {sorted(known)}"
             )
+        missing = {"kind", "target"} - set(data)
+        if missing:
+            raise ValueError(f"FaultSpec missing field(s) {sorted(missing)}")
         return cls(**data)
 
 
@@ -133,6 +156,8 @@ class FaultPlan:
     restart_delay_s: float = 0.001
 
     def __post_init__(self) -> None:
+        _require_number("detection_period_s", self.detection_period_s)
+        _require_number("restart_delay_s", self.restart_delay_s)
         if self.detection_period_s <= 0:
             raise ValueError(
                 f"detection_period_s must be > 0, got "
@@ -157,6 +182,10 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         known = {"specs", "policy", "detection_period_s", "restart_delay_s"}
+        if not isinstance(data, dict):
+            raise ValueError(f"a FaultPlan must be a mapping, got {data!r}")
+        if not isinstance(data.get("specs", []), list):
+            raise ValueError(f"specs must be a list, got {data['specs']!r}")
         unknown = set(data) - known
         if unknown:
             raise ValueError(

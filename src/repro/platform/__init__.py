@@ -26,7 +26,7 @@ from repro.platform.config import PlatformConfig
 from repro.platform.flow_table import FlowTable
 from repro.platform.manager import NFManager
 from repro.platform.multihost import HostLink, connect_hosts
-from repro.platform.orchestrator import Topology, build_topology, load_topology
+from repro.platform.orchestrator import build_topology, load_topology
 from repro.platform.nic import NIC, line_rate_pps
 from repro.platform.packet import Flow, PacketSegment
 from repro.platform.ring import PacketRing
@@ -43,7 +43,6 @@ __all__ = [
     "PlatformConfig",
     "HostLink",
     "connect_hosts",
-    "Topology",
     "build_topology",
     "load_topology",
 ]

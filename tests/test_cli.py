@@ -51,6 +51,23 @@ def test_topology_command(tmp_path, capsys):
     assert "tput Mpps" in out
 
 
+@pytest.mark.parametrize("text, prefix", [
+    (json.dumps({"nfs": [{"name": "fw", "cycles": "abc"}]}),
+     "topology error: nfs[0].cycles: "),
+    (json.dumps({"nfs": [{"name": "fw", "cycles": 300}], "flws": []}),
+     "topology error: flws: "),
+    ("{not json", "topology error: {path}: cannot read topology"),
+])
+def test_topology_command_rejects_bad_spec(tmp_path, capsys, text, prefix):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert main(["topology", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix.replace("{path}", str(path)))
+    assert "Traceback" not in captured.err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

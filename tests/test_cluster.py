@@ -462,6 +462,21 @@ class TestClusterScenario:
         with pytest.raises(ValueError, match="undeclared SLO class"):
             scenario.add_flow("f0", rate_pps=1000, slo_class="missing")
 
+    def test_active_fault_plan_is_rejected_before_the_run(self):
+        from repro.faults.plan import (
+            FaultPlan, activate_plan, deactivate_plan,
+        )
+
+        scenario = small_scenario()
+        activate_plan(FaultPlan())
+        try:
+            with pytest.raises(RuntimeError, match="fault plans are not "
+                               "supported on cluster scenarios"):
+                scenario.run(0.01)
+        finally:
+            deactivate_plan()
+        assert scenario.loop.now == 0
+
 
 # ----------------------------------------------------------------------
 # Monitor cluster snapshot
